@@ -2,8 +2,9 @@
 
 A shard's frames arrive on its own 3 ms digitizer grid.  Dispatching
 every frame alone wastes the bit-exact batched/compiled predict path
-(one chunked ``precompute_raw_outputs`` per block amortizes the Python
-dispatch overhead, see docs/performance.md); waiting forever violates
+(the runtime streams each block through ``precompute_raw_outputs`` in
+cache-sized chunks, which amortizes the Python dispatch overhead, see
+docs/performance.md); waiting forever violates
 the real-time contract.  The :class:`MicroBatcher` accumulates frames
 and flushes a batch when
 

@@ -579,11 +579,12 @@ def _worker_main(worker_id: int, spec: FarmSpec, inbox, results) -> None:
     message (with traceback) before the worker dies, so the supervisor
     can fail loudly instead of requeue-looping a poisoned task.
     """
+    import multiprocessing
     from queue import Empty
 
+    supervisor = multiprocessing.parent_process()
     source = ReplicaSource(spec)
     streams: Dict[int, dict] = {}
-    parent_pid = os.getppid()
     try:
         while True:
             try:
@@ -592,9 +593,11 @@ def _worker_main(worker_id: int, spec: FarmSpec, inbox, results) -> None:
                 # Orphan guard: if the supervising process vanished
                 # without the sentinel (SIGKILLed host agent, crashed
                 # parent), exit instead of blocking on the inbox
-                # forever.  getppid() changes the moment the parent
-                # dies (re-parented to init/subreaper).
-                if os.getppid() != parent_pid:
+                # forever.  The supervisor's sentinel pipe reports its
+                # death whenever it happened — also before this worker
+                # finished starting, when a getppid() snapshot taken
+                # here would already read init's pid.
+                if not supervisor.is_alive():
                     break
                 continue
             if msg is None:

@@ -22,13 +22,15 @@ from repro.soc.ocram import DualPortRAM
 
 __all__ = ["NeuralIPCore", "BATCH_BLOCK_FRAMES"]
 
-#: Frames per batched forward pass in :meth:`NeuralIPCore.precompute_raw_outputs`.
+#: Frames per batched forward pass in :meth:`NeuralIPCore.precompute_raw_outputs`,
+#: and per streamed chunk of :meth:`CentralNodeRuntime.run`.
 #: Chunking keeps the intermediate tensors cache-resident — one huge batch
 #: is *slower* than a per-frame loop once the working set spills out of
-#: LLC.  Chunk size does not affect the results: products and sums are
-#: exact in float64, so any split is bit-identical (see
-#: docs/performance.md).
-BATCH_BLOCK_FRAMES = 32
+#: LLC — and bounds how long a frame waits for its decision.  8 is the
+#: measured throughput knee on the deployed U-Net (docs/performance.md
+#: has the sweep).  Chunk size does not affect the results: products and
+#: sums are exact in float64, so any split is bit-identical.
+BATCH_BLOCK_FRAMES = 8
 
 
 class NeuralIPCore:
@@ -125,8 +127,9 @@ class NeuralIPCore:
                                ) -> np.ndarray:
         """Batched forward pass → per-frame raw output words.
 
-        Runs the whole block through one :meth:`HLSModel.predict` call and
-        returns the quantized output-buffer words, shape ``(n, n_outputs)``
+        Runs *frames* through :meth:`HLSModel.predict` in
+        :data:`BATCH_BLOCK_FRAMES` chunks and returns the quantized
+        output-buffer words, shape ``(n, n_outputs)``
         — row *i* is exactly what :meth:`run` would have produced in the
         output RAM for frame *i* (the float → raw → float round trip at
         the buffer boundary is applied identically).  When the model has

@@ -32,7 +32,7 @@ and miss/dead-letter rates, backed by the runtime's
 
 With an injector attached the runtime does not abandon the batched fast
 path: it runs a **speculative execution ladder** (``speculation=True``).
-The block's raw outputs are precomputed up front anyway, each frame is
+The block's raw outputs are precomputed anyway, each frame is
 validated against the schedule's taint set
 (:mod:`repro.soc.taint`), and only frames a fault actually touched —
 input-tainted frames, the SEU hit and its propagation window, frames the
@@ -48,6 +48,7 @@ sequential reference under every schedule (pinned by the chaos matrix in
 from __future__ import annotations
 
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -67,6 +68,7 @@ from repro.soc.faults import (
     FrameHangError,
     fold_health_counters,
 )
+from repro.soc.ip_core import BATCH_BLOCK_FRAMES
 from repro.soc.taint import (
     CAUSE_FALLBACK,
     CAUSE_INPUT,
@@ -316,9 +318,11 @@ class CentralNodeRuntime:
     policy: DegradationPolicy = field(default_factory=DegradationPolicy)
     counters: PerformanceCounters = field(default_factory=PerformanceCounters)
     #: Batched-inference fast path: with no injector attached and the
-    #: primary engine active, the whole frame block runs through one
-    #: batched ``predict`` and the per-frame ladder consumes precomputed
-    #: output words (bit-identical; see docs/performance.md).  Disable to
+    #: primary engine active, the frame block streams through batched
+    #: ``predict`` calls of ``BATCH_BLOCK_FRAMES`` frames, each chunk's
+    #: decisions published before the next chunk is computed, and the
+    #: per-frame ladder consumes precomputed output words
+    #: (bit-identical; see docs/performance.md).  Disable to
     #: force the historical frame-at-a-time compute.  Orthogonal to the
     #: graph compiler: a board whose model carries a compiled plan
     #: (``HLSModel.compile``) uses it on both the batched and the
@@ -477,47 +481,40 @@ class CentralNodeRuntime:
         anchors: Dict[int, float] = {}
 
         # Batched fast path: with no fault schedule and the primary
-        # engine active, one batched predict covers the whole block; the
-        # per-frame ladder below then consumes precomputed output words.
-        # Frames that land on the fallback engine (hysteresis can engage
-        # mid-block even fault-free, e.g. on jitter-spike deadline
-        # misses) drop back to in-line compute frame by frame.
+        # engine active at block start, the block's output words are
+        # precomputed by batched predicts; the per-frame ladder below
+        # consumes them.  Frames that land on the fallback engine
+        # (hysteresis can engage mid-block even fault-free, e.g. on
+        # jitter-spike deadline misses) drop back to in-line compute
+        # frame by frame.
         #
         # With a schedule active and ``speculation`` enabled the block is
         # precomputed *anyway*, masked by the schedule's static taint set
         # (rows a fault is known to invalidate are never computed); the
         # per-frame ladder then re-validates dynamically and replays only
         # tainted frames through the in-line reference.
+        #
+        # Whether to precompute, and the mask, are decided once for the
+        # whole block; the compute itself streams in BATCH_BLOCK_FRAMES
+        # chunks, each chunk's decisions published before the next chunk
+        # is computed, so a frame waits for its own chunk, not the block.
         obs = self.obs
-        precomputed: Optional[np.ndarray] = None
-        speculative = False
-        spec_valid: Optional[np.ndarray] = None
-        if (self.batch_inference and n > 0
-                and (self.fallback_board is None
-                     or self.engine == ENGINE_PRIMARY)):
-            if schedule is None:
-                if obs is None:
-                    precomputed = self.board.ip.precompute_raw_outputs(frames)
-                else:
-                    with obs.tracer.span("batch_precompute", frames=n):
-                        precomputed = self.board.ip.precompute_raw_outputs(
-                            frames)
-            elif self.speculation:
-                speculative = True
-                spec_valid = speculation_mask(
-                    schedule, start, n, model_tainted=self._model_tainted)
-                if obs is None:
-                    precomputed = self.board.ip.precompute_raw_outputs(
-                        frames, valid_mask=spec_valid)
-                else:
-                    with obs.tracer.span(
-                            "spec_precompute", frames=n,
-                            masked=int(n - int(spec_valid.sum()))):
-                        precomputed = self.board.ip.precompute_raw_outputs(
-                            frames, valid_mask=spec_valid)
+        precompute = (self.batch_inference and n > 0
+                      and (self.fallback_board is None
+                           or self.engine == ENGINE_PRIMARY)
+                      and (schedule is None or self.speculation))
+        speculative = precompute and schedule is not None
+        spec_valid: Optional[np.ndarray] = (
+            speculation_mask(schedule, start, n,
+                             model_tainted=self._model_tainted)
+            if speculative else None)
 
         new_records = []
+        precomputed: Optional[np.ndarray] = None
         for i in range(n):
+            if precompute and i % BATCH_BLOCK_FRAMES == 0:
+                precomputed = self._precompute_chunk(frames, start, i,
+                                                     spec_valid)
             fi = start + i
             events = schedule.for_frame(fi) if schedule is not None else ()
             for e in events:
@@ -566,7 +563,8 @@ class CentralNodeRuntime:
                 self.counters.increment("spec.replayed")
                 self.counters.increment(
                     f"spec.invalidated.{invalidation_cause}")
-            raw_i = precomputed[i] if use_batched else None
+            raw_i = (precomputed[i % BATCH_BLOCK_FRAMES] if use_batched
+                     else None)
             if obs is None:
                 record = self._process_one(
                     fi, i, frames[i], arrivals[i], float(jitters[i]),
@@ -603,6 +601,27 @@ class CentralNodeRuntime:
                 self._observe_frame(record, obs)
         self.records.extend(new_records)
         return new_records
+
+    # ------------------------------------------------------------------
+    def _precompute_chunk(self, frames: np.ndarray, start: int, lo: int,
+                          spec_valid: Optional[np.ndarray]) -> np.ndarray:
+        """Raw output words for the chunk of the block starting at frame
+        *lo*, under a ``batch_precompute`` (or, masked,
+        ``spec_precompute``) span when a tracer is attached."""
+        hi = min(lo + BATCH_BLOCK_FRAMES, len(frames))
+        mask = None if spec_valid is None else spec_valid[lo:hi]
+        span = nullcontext()
+        if self.obs is not None:
+            attrs = {"first": start + lo, "frames": hi - lo}
+            if mask is None:
+                name = "batch_precompute"
+            else:
+                name = "spec_precompute"
+                attrs["masked"] = int(mask.size - int(mask.sum()))
+            span = self.obs.tracer.span(name, **attrs)
+        with span:
+            return self.board.ip.precompute_raw_outputs(frames[lo:hi],
+                                                        valid_mask=mask)
 
     # ------------------------------------------------------------------
     def _process_one(self, fi: int, i: int, frame: np.ndarray,

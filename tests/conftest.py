@@ -7,6 +7,9 @@ for them once.
 
 from __future__ import annotations
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,18 @@ from repro.nn import (
     ReLU,
     Sigmoid,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_child_processes():
+    """Fail the session when a test leaves a multiprocessing child (a
+    pool worker, a daemon) running: every pool must be closed."""
+    yield
+    deadline = time.monotonic() + 10.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"child processes left running: {leaked}"
 
 
 @pytest.fixture(scope="session")

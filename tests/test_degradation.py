@@ -8,6 +8,7 @@ import pytest
 from repro.beamloss.controller import TripController
 from repro.beamloss.hubs import HubNetwork
 from repro.hls import HLSConfig, convert
+from repro.soc import runtime as runtime_module
 from repro.soc.board import FRAME_PERIOD_S, AchillesBoard
 from repro.soc.faults import (
     ACNETFault,
@@ -21,6 +22,7 @@ from repro.soc.faults import (
     SEUFault,
     StuckMonitorFault,
 )
+from repro.soc.ip_core import BATCH_BLOCK_FRAMES
 from repro.soc.runtime import (
     ENGINE_FALLBACK,
     ENGINE_PRIMARY,
@@ -249,6 +251,39 @@ class TestFallbackHysteresis:
         health = runtime.health_report()
         assert health.engine_frames[ENGINE_FALLBACK] == 6
         assert health.transitions == tuple(runtime.transitions)
+
+    @pytest.mark.parametrize("speculation", [True, False])
+    def test_switch_and_recovery_inside_chunks(self, tiny_hls, frames,
+                                               speculation, monkeypatch):
+        """The engine falls back in the middle of one precompute chunk
+        and recovers in the middle of the next: the streamed loop still
+        equals the sequential oracle record for record, and the
+        whole-block run counter for counter."""
+        b = BATCH_BLOCK_FRAMES
+        n, hang = 3 * b, b - 3
+        specs = [IPHangFault(rate=1.0, start=hang, stop=hang + 4,
+                             extra_s=5e-3)]
+        kw = dict(miss_threshold=2, recovery_streak=4)
+        oracle = make_runtime(tiny_hls, specs, batch=False, **kw)
+        whole = make_runtime(tiny_hls, specs, speculation=speculation, **kw)
+        streamed = make_runtime(tiny_hls, specs, speculation=speculation,
+                                **kw)
+        expected = oracle.run(frames[:n], seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(runtime_module, "BATCH_BLOCK_FRAMES", n + 1)
+            assert whole.run(frames[:n], seed=3) == expected
+        assert streamed.run(frames[:n], seed=3) == expected
+
+        (switch, _, _), (recover, _, _) = streamed.transitions
+        assert (switch, recover) == (hang + 1, hang + 7)
+        assert switch // b == 0 and 0 < switch % b < b - 1
+        assert recover // b == 1 and 0 < recover % b < b - 1
+        fallback = sum(r.engine == ENGINE_FALLBACK for r in expected)
+        assert fallback == 6
+        assert streamed.counters.count("frame.batched") == (
+            n - fallback if speculation else 0)
+        assert streamed.counters.counts() == whole.counters.counts()
+        assert streamed.health_report() == whole.health_report()
 
     def test_no_fallback_board_never_switches(self, tiny_hls, frames):
         specs = [IPHangFault(rate=1.0, start=2, stop=8, extra_s=5e-3)]

@@ -14,6 +14,9 @@ pins some piece of that proof:
   (speculatively: tainted frames replay in-line, clean frames ride the
   precomputed words; ``speculation=False`` restores the historical
   whole-block disengage),
+* streaming the block in ``BATCH_BLOCK_FRAMES`` chunks publishes every
+  decision of a chunk before the next chunk is computed, without
+  changing a record or a counter at any chunk boundary,
 * the vectorized round/saturate pipeline matches a scalar pure-Python
   reference on every rounding × overflow mode,
 * ``derive_stream_seeds`` decorrelates successive ``run()`` calls while
@@ -29,6 +32,8 @@ from repro.beamloss.hubs import HubNetwork
 from repro.fixed import FixedPointFormat, from_raw, quantize, quantize_, to_raw
 from repro.fixed.format import Overflow, Rounding
 from repro.hls import HLSConfig, convert
+from repro.obs import ObsConfig, Observability
+from repro.soc import runtime as runtime_module
 from repro.soc.board import AchillesBoard
 from repro.soc.faults import (
     ACNETFault,
@@ -39,6 +44,7 @@ from repro.soc.faults import (
     NoisyMonitorFault,
     SEUFault,
 )
+from repro.soc.ip_core import BATCH_BLOCK_FRAMES
 from repro.soc.runtime import (
     CentralNodeRuntime,
     DegradationPolicy,
@@ -325,6 +331,121 @@ class TestSpeculativeLadder:
             ip.run()
             inline = ip.output_ram.read(0, ip.n_outputs)
             assert np.array_equal(pre[i], inline)
+
+
+# ----------------------------------------------------------------------
+# Chunk-streamed precompute
+# ----------------------------------------------------------------------
+B = BATCH_BLOCK_FRAMES
+CHUNK_CHAOS = [NoisyMonitorFault(rate=0.15, sigma=0.5),
+               HubDelayFault(rate=0.1, delay_s=1e-4),
+               SEUFault(rate=0.08),
+               IPHangFault(rate=0.05, extra_s=5e-3),
+               ACNETFault(rate=0.1)]
+
+
+def chunk_frames(n):
+    return np.random.default_rng(5).normal(0.0, 1.0, size=(n, N_MONITORS))
+
+
+def whole_block_run(runtime, frames, seed, monkeypatch):
+    """The pre-streaming runtime: one chunk spanning the whole block, so
+    every row is precomputed before frame 0 is published."""
+    with monkeypatch.context() as m:
+        m.setattr(runtime_module, "BATCH_BLOCK_FRAMES", len(frames) + 1)
+        return runtime.run(frames, seed=seed)
+
+
+class TestChunkStreaming:
+    """Streaming the block in ``BATCH_BLOCK_FRAMES`` chunks changes when
+    decisions are published, never what they are: records equal the
+    sequential oracle and every counter equals the whole-block run."""
+
+    @pytest.mark.parametrize("n", sorted({1, B - 1, B, B + 1, 4 * B + 1}))
+    @pytest.mark.parametrize("chaos,speculation", [
+        (False, True), (True, True), (True, False)])
+    def test_chunk_boundaries(self, tiny_hls, n, chaos, speculation,
+                              monkeypatch):
+        specs = CHUNK_CHAOS if chaos else None
+        x = chunk_frames(n)
+        oracle = make_runtime(tiny_hls, batch=False, specs=specs,
+                              with_fallback=True)
+        whole = make_runtime(tiny_hls, specs=specs, with_fallback=True,
+                             speculation=speculation)
+        streamed = make_runtime(tiny_hls, specs=specs, with_fallback=True,
+                                speculation=speculation)
+        expected = oracle.run(x, seed=11)
+        assert whole_block_run(whole, x, 11, monkeypatch) == expected
+        assert streamed.run(x, seed=11) == expected
+        assert streamed.counters.counts() == whole.counters.counts()
+        assert streamed.health_report() == whole.health_report()
+        if not chaos:
+            assert streamed.counters.count("frame.batched") == n
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_chunk_published_before_next_precompute(self, tiny_hls, chaos):
+        n = 4 * B + 1
+        runtime = make_runtime(tiny_hls,
+                               specs=CHUNK_CHAOS if chaos else None)
+        log = []
+        precompute = runtime.board.ip.precompute_raw_outputs
+        publish = runtime.acnet.publish
+
+        nested = []  # a masked call recurses on its valid subset
+
+        def logged_precompute(frames, valid_mask=None):
+            if not nested:
+                log.append(("precompute", len(frames)))
+            nested.append(True)
+            try:
+                return precompute(frames, valid_mask=valid_mask)
+            finally:
+                nested.pop()
+
+        def logged_publish(decision, **kwargs):
+            record = publish(decision, **kwargs)
+            log.append(("publish", decision.frame_index))
+            return record
+
+        runtime.board.ip.precompute_raw_outputs = logged_precompute
+        runtime.acnet.publish = logged_publish
+        records = runtime.run(chunk_frames(n), seed=11)
+
+        sizes = [size for kind, size in log if kind == "precompute"]
+        assert sizes == [B] * 4 + [1]
+        chunk = -1
+        published = []
+        for kind, value in log:
+            if kind == "precompute":
+                chunk += 1
+            else:
+                assert value // B == chunk, log
+                published.append(value)
+        assert published == [r.frame_index for r in records if r.published]
+        if not chaos:
+            assert published == list(range(n))
+
+    def test_one_span_per_chunk(self, tiny_hls):
+        n = 2 * B + 1
+        obs = Observability.from_config(ObsConfig())
+        runtime = make_runtime(tiny_hls)
+        runtime.attach_observability(obs)
+        runtime.run(chunk_frames(n), seed=11)
+        spans = obs.tracer.spans("batch_precompute")
+        assert [(s.attrs["first"], s.attrs["frames"]) for s in spans] == [
+            (0, B), (B, B), (2 * B, 1)]
+        assert all(s.frame is None for s in spans)
+
+        chaos = make_runtime(tiny_hls, specs=CHUNK_CHAOS)
+        chaos.attach_observability(obs)
+        obs.tracer.reset()
+        chaos.run(chunk_frames(n), seed=11)
+        spans = obs.tracer.spans("spec_precompute")
+        assert [(s.attrs["first"], s.attrs["frames"]) for s in spans] == [
+            (0, B), (B, B), (2 * B, 1)]
+        assert all(0 <= s.attrs["masked"] <= s.attrs["frames"]
+                   for s in spans)
+        assert not obs.tracer.spans("batch_precompute")
 
 
 # ----------------------------------------------------------------------

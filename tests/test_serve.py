@@ -243,12 +243,54 @@ class TestCrashRecovery:
             farm.serve(frames, workers=1, chaos_crash_shards=(1,),
                        max_restarts=0)
 
+    def test_worker_exits_when_supervisor_dies_at_startup(self, tiny_hls):
+        """A supervisor killed while its worker is still starting up
+        (the SIGKILLed host agent of the partition tests) must not leave
+        the worker orphaned: its parent-death guard fires anyway."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("spawn")
+        recv, send = ctx.Pipe(duplex=False)
+        supervisor = ctx.Process(target=_start_one_worker_and_die,
+                                 args=(FarmSpec(model=tiny_hls), send))
+        supervisor.start()
+        send.close()
+        assert recv.poll(60), "supervisor never reported its worker"
+        worker = recv.recv()
+        supervisor.join(timeout=60)
+        assert not supervisor.is_alive()
+        deadline = time.monotonic() + 60
+        while _alive(worker):
+            assert time.monotonic() < deadline, "orphaned worker lives on"
+            time.sleep(0.1)
+
     def test_pool_validation(self, tiny_hls):
         spec = FarmSpec(model=tiny_hls)
         with pytest.raises(ValueError):
             WorkerPool(spec, 0)
         with pytest.raises(ValueError):
             WorkerPool(spec, 1, max_restarts=-1)
+
+
+def _start_one_worker_and_die(spec, send) -> None:
+    """Supervisor process body: start a one-worker pool, report the
+    worker's pid, and die at once without closing the pool."""
+    pool = WorkerPool(spec, 1).start()
+    send.send(pool.worker_pid(0))
+    os._exit(0)
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* still runs (a zombie awaiting its reaper does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: the signal probe is all there is
+        return True
 
 
 # ----------------------------------------------------------------------
