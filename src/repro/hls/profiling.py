@@ -6,7 +6,7 @@ this maximum, we calculated the required number of integer bits for each
 layer" (Section IV-D).  :func:`profile_model` runs the *float* network
 over a representative dataset and records, per layer, the maximum
 absolute activation and maximum absolute weight — the two numbers the
-precision optimizer needs.
+precision optimizer needs, and the only two it records.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from repro.nn.model import Model
 
 __all__ = ["LayerProfile", "profile_model"]
 
+#: Frames per profiling forward pass, small enough that each conv's im2col
+#: copy stays in cache (measured sweep: docs/performance.md, "Cold set-up").
+PROFILE_BATCH = 16
+
 
 @dataclass(frozen=True)
 class LayerProfile:
@@ -31,14 +35,10 @@ class LayerProfile:
         Largest |activation| the layer produced over the profiling set.
     max_abs_weight:
         Largest |parameter| (0.0 for parameter-free layers).
-    output_percentile_99:
-        99th percentile of |activation| — kept for diagnostics; the
-        optimizer uses the max, as the paper does.
     """
 
     max_abs_output: float
     max_abs_weight: float
-    output_percentile_99: float
 
     def __post_init__(self):
         if self.max_abs_output < 0 or self.max_abs_weight < 0:
@@ -46,7 +46,7 @@ class LayerProfile:
 
 
 def profile_model(model: Model, x: np.ndarray,
-                  batch_size: int = 256) -> Dict[str, LayerProfile]:
+                  batch_size: int = PROFILE_BATCH) -> Dict[str, LayerProfile]:
     """Profile every layer of *model* on dataset *x*.
 
     Runs inference-mode forward passes in batches (the profiling set can
@@ -54,30 +54,30 @@ def profile_model(model: Model, x: np.ndarray,
     Returns ``{layer_name: LayerProfile}`` including the input layer
     (whose "activation" is the standardized input itself — the paper's
     input-buffer precision is derived from it).
+
+    Raises ``ValueError`` naming the layer when an activation or weight
+    is not finite: a NaN or inf has no integer-bit count.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] == 0:
         raise ValueError("profiling dataset is empty")
-    max_out: Dict[str, float] = {}
-    p99_samples: Dict[str, list] = {}
+    max_out = dict.fromkeys((layer.name for layer in model.layers), 0.0)
     for start in range(0, x.shape[0], batch_size):
-        batch = x[start:start + batch_size]
-        model.forward(batch, training=False)
+        model.forward(x[start:start + batch_size], training=False)
         for layer in model.layers:
             out = model._last_outputs[layer]
-            a = np.abs(out)
-            max_out[layer.name] = max(max_out.get(layer.name, 0.0), float(a.max()))
-            p99_samples.setdefault(layer.name, []).append(
-                float(np.percentile(a, 99))
-            )
+            # max|a| without the |a| temporary; a NaN propagates to the end.
+            max_out[layer.name] = np.maximum(max_out[layer.name],
+                                             max(out.max(), -out.min()))
     profiles = {}
     for layer in model.layers:
-        w_max = 0.0
-        if layer.params:
-            w_max = max(float(np.abs(p).max()) for p in layer.params.values())
-        profiles[layer.name] = LayerProfile(
-            max_abs_output=max_out[layer.name],
-            max_abs_weight=w_max,
-            output_percentile_99=float(np.max(p99_samples[layer.name])),
-        )
+        w_max = np.max([np.abs(p).max() for p in layer.params.values()],
+                       initial=0.0)
+        if not np.isfinite(max_out[layer.name] + w_max):
+            raise ValueError(f"layer {layer.name!r} has a non-finite "
+                             "activation or weight on the profiling set")
+        profiles[layer.name] = LayerProfile(float(max_out[layer.name]),
+                                            float(w_max))
     return profiles

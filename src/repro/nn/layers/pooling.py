@@ -7,6 +7,7 @@ window is dropped (260 → 130 → 65 in the reference U-Net).
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -64,22 +65,20 @@ class MaxPooling1D(_Pooling1D):
     to the argmax position of each window (ties go to the first maximum,
     matching the hardware comparator tree)."""
 
-    def __init__(self, pool_size: int = 2, name: Optional[str] = None):
-        super().__init__(pool_size, name)
-        self._argmax = None
-
     def forward(self, inputs: List[np.ndarray], training: bool = False) -> np.ndarray:
         (x,) = inputs
-        windows = self._window(x)
-        self._argmax = windows.argmax(axis=2)
-        return windows.max(axis=2)
+        self._windows = self._window(x)  # a view; backward takes the argmax
+        # Elementwise over window positions: max(axis=2) is the same ufunc
+        # but crawls on the channel-major layout conv outputs arrive in.
+        return functools.reduce(np.maximum, np.moveaxis(self._windows, 2, 0))
 
     def backward(self, grad: np.ndarray) -> List[np.ndarray]:
-        if self._argmax is None:
+        if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         n, out_len, c = grad.shape
         gw = np.zeros((n, out_len, self.pool_size, c), dtype=grad.dtype)
-        np.put_along_axis(gw, self._argmax[:, :, None, :], grad[:, :, None, :], axis=2)
+        argmax = self._windows.argmax(axis=2)[:, :, None, :]
+        np.put_along_axis(gw, argmax, grad[:, :, None, :], axis=2)
         return [self._expand(gw)]
 
 

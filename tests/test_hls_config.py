@@ -131,8 +131,81 @@ class TestProfiling:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            LayerProfile(max_abs_output=-1, max_abs_weight=0,
-                         output_percentile_99=0)
+            LayerProfile(max_abs_output=-1, max_abs_weight=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_rejected(self, bad):
+        # One bad value must not drop its batch (NaN) or escape as a bare
+        # OverflowError from the integer-bit sizing (inf).
+        x = np.random.default_rng(2).normal(size=(20, 8))
+        x[13, 4] = bad
+        with pytest.raises(ValueError, match="layer 'x'.*non-finite"):
+            profile_model(small_model(), x, batch_size=8)
+
+    def test_non_finite_weight_rejected(self):
+        m = small_model()
+        m.get_layer("o").params["bias"][1] = np.nan
+        with pytest.raises(ValueError, match="layer 'o'.*non-finite"):
+            profile_model(m, np.zeros((2, 8)))
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_must_be_positive(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            profile_model(small_model(), np.zeros((4, 8)),
+                          batch_size=batch_size)
+
+    def test_unet_maxima_independent_of_batch_size(self):
+        # The default batch is a speed choice only: the deployed U-Net's
+        # maxima must equal those at 256-frame batches exactly.
+        from repro.experiments.common import bundle
+
+        b = bundle()
+        x = b.dataset.unet_inputs(b.dataset.x_train[:64])
+        small = profile_model(b.unet, x)
+        large = profile_model(b.unet, x, batch_size=256)
+        assert {k: v.max_abs_output for k, v in small.items()} == {
+            k: v.max_abs_output for k, v in large.items()}
+
+
+class TestDeployedGolden:
+    """Integer bits (result, weight) of the deployed layer-based <16,x>
+    designs, profiled on the full bundled training split.  Parameter-free
+    layers carry their result format as the weight format."""
+
+    UNET_BITS = {
+        "blm_input": (9, 9), "enc1_conv": (8, 1), "enc1_relu": (8, 8),
+        "enc1_pool": (8, 8), "enc2_conv": (8, 1), "enc2_relu": (7, 7),
+        "enc2_pool": (7, 7), "bottleneck_conv": (7, 1),
+        "bottleneck_relu": (7, 7), "dec2_up": (7, 7),
+        "dec2_concat": (7, 7), "dec2_conv": (7, 1), "dec2_relu": (7, 7),
+        "dec1_up": (7, 7), "dec1_concat": (8, 8), "dec1_conv": (8, 1),
+        "dec1_relu": (7, 7), "output_flatten": (1, 1),
+        "head_dense": (6, 1), "head_sigmoid": (1, 1),
+    }
+    MLP_BITS = {
+        "blm_input": (9, 9), "hidden_dense": (11, 1), "hidden_relu": (1, 1),
+        "output_dense": (3, 3), "output_sigmoid": (1, 1),
+    }
+
+    @staticmethod
+    def _bits(model, cfg):
+        return {l.name: (cfg.for_layer(l.name).result.integer,
+                         cfg.for_layer(l.name).weight.integer)
+                for l in model.layers}
+
+    def test_unet(self):
+        from repro.experiments.common import bundle, reference_configs
+
+        cfg = reference_configs()["Layer-based Precision ac_fixed<16, x>"]
+        assert self._bits(bundle().unet, cfg) == self.UNET_BITS
+
+    def test_mlp(self):
+        from repro.experiments.common import bundle
+
+        b = bundle()
+        cfg = layer_based_config(b.mlp, b.dataset.x_train)
+        assert self._bits(b.mlp, cfg) == self.MLP_BITS
 
 
 class TestLayerBasedConfig:

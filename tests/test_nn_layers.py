@@ -213,6 +213,28 @@ class TestPooling:
         (dx,) = model.backward(np.ones((1, 2, 1)))
         np.testing.assert_allclose(dx.ravel(), [0, 1, 1, 0])
 
+    @pytest.mark.parametrize("pool_size", [2, 3])
+    def test_max_forward_on_channel_major_input(self, pool_size):
+        # Conv outputs arrive channel-major; the pooled values must not
+        # depend on the input's memory layout or the window width.
+        x = np.random.default_rng(3).normal(size=(4, 3, 11)).transpose(1, 2, 0)
+        out = MaxPooling1D(pool_size).forward([x])
+        n = 11 // pool_size
+        expect = x[:, :n * pool_size].reshape(3, n, pool_size, 4).max(axis=2)
+        np.testing.assert_array_equal(out, expect)
+
+    def test_max_backward_after_inference_forward(self):
+        # The argmax is taken lazily in backward, so an inference-mode
+        # forward still leaves enough state to route the gradient.
+        pool = MaxPooling1D(2)
+        x = np.array([[4.0, 1.0], [2.0, 7.0], [5.0, 5.0], [0.0, 3.0]])
+        out = pool.forward([x.reshape(1, 4, 2)], training=False)
+        np.testing.assert_array_equal(out[0], [[4.0, 7.0], [5.0, 5.0]])
+        (dx,) = pool.backward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        # Ties (5, 5) go to the first maximum.
+        np.testing.assert_array_equal(
+            dx[0], [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+
     def test_avg_backward_uniform(self):
         inp = Input((4, 1))
         model = Model(inp, AveragePooling1D(2)(inp))
